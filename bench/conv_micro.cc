@@ -1,9 +1,11 @@
 // Figure 1 / §3.1 micro-benchmarks: the NCHW[x]c direct-convolution template against
 // the NCHW baselines on real ResNet-50 workloads, plus schedule-parameter ablations
-// (reg_n register blocking, oc_bn ISA blocking, unroll_ker) — the knobs DESIGN.md calls
-// out as design-choice ablations.
+// (reg_n register blocking, oc_bn ISA blocking, unroll_ker, ISA tier) — the
+// design-choice ablations of §3.1. Every fp32 and int8 row is labeled with the ISA tier
+// it ran at.
 #include <benchmark/benchmark.h>
 
+#include "src/base/isa.h"
 #include "src/base/rng.h"
 #include "src/kernels/conv_im2col.h"
 #include "src/kernels/conv_nchwc.h"
@@ -63,6 +65,7 @@ void BM_ConvNCHWc(benchmark::State& state) {
   for (auto _ : state) {
     ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
   }
+  state.SetLabel(ConvNCHWcIsaName());
   state.counters["GFLOPS"] =
       benchmark::Counter(2.0 * p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
                          benchmark::Counter::kIs1000);
@@ -110,6 +113,7 @@ void BM_Ablation_RegN(benchmark::State& state) {
   for (auto _ : state) {
     ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
   }
+  state.SetLabel(ConvNCHWcIsaName());
 }
 BENCHMARK(BM_Ablation_RegN)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
@@ -123,6 +127,7 @@ void BM_Ablation_Block(benchmark::State& state) {
   for (auto _ : state) {
     ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
   }
+  state.SetLabel(ConvNCHWcIsaName());
 }
 BENCHMARK(BM_Ablation_Block)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
@@ -134,6 +139,7 @@ void BM_Ablation_UnrollKer(benchmark::State& state) {
   for (auto _ : state) {
     ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
   }
+  state.SetLabel(ConvNCHWcIsaName());
 }
 BENCHMARK(BM_Ablation_UnrollKer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -225,6 +231,7 @@ void BM_S8VsF32_Resnet3x3_F32(benchmark::State& state) {
   for (auto _ : state) {
     ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
   }
+  state.SetLabel(ConvNCHWcIsaName());
   state.counters["GMACS"] =
       benchmark::Counter(p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
                          benchmark::Counter::kIs1000);
@@ -307,7 +314,7 @@ void BM_S8VsF32_Resnet3x3_U8(benchmark::State& state) {
 BENCHMARK(BM_S8VsF32_Resnet3x3_U8)->Unit(benchmark::kMillisecond);
 
 // VNNI-vs-pairwise ablation: the same u8 workload pinned to each compiled ISA tier
-// via SetConvNCHWcS8IsaOverride. Arg indexes kIsaTiers; tiers the binary/CPU lacks
+// via SetIsaOverride. Arg indexes kIsaTiers; tiers the binary/CPU lacks
 // are skipped (the override refuses them). On VNNI hardware the avx512vnni row is
 // the vpdpbusd driver and avx512 is the s16-pairwise fallback — the delta between
 // those two rows is the headline "VNNI beats pairwise" number.
@@ -315,7 +322,7 @@ const char* const kIsaTiers[] = {"baseline", "avx2", "avx512", "avx512vnni"};
 
 void BM_Ablation_U8Isa(benchmark::State& state) {
   const char* tier = kIsaTiers[state.range(0)];
-  if (!SetConvNCHWcS8IsaOverride(tier)) {
+  if (!SetIsaOverride(tier)) {
     state.SkipWithError("isa tier not available on this host");
     return;
   }
@@ -329,16 +336,38 @@ void BM_Ablation_U8Isa(benchmark::State& state) {
   state.counters["GMACS"] =
       benchmark::Counter(p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
                          benchmark::Counter::kIs1000);
-  SetConvNCHWcS8IsaOverride(nullptr);
+  SetIsaOverride(nullptr);
 }
 BENCHMARK(BM_Ablation_U8Isa)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+// The paper's template across the ISA ladder: fp32 NCHWc on the resnet-style 3x3 layer
+// pinned to each tier. Baseline is 4-lane SSE without FMA; avx512 runs the oc_bn = 16
+// block as one zmm FMA per reduction step.
+void BM_Ablation_F32Isa(benchmark::State& state) {
+  const char* tier = kIsaTiers[state.range(0)];
+  if (!SetIsaOverride(tier)) {
+    state.SkipWithError("isa tier not available on this host");
+    return;
+  }
+  Conv2dParams p{1, 128, 28, 28, 128, 3, 3, 1, 1, 1, 1};
+  BlockedSetup setup = MakeBlocked(p, ConvSchedule{16, 16, 8, true});
+  for (auto _ : state) {
+    ConvNCHWc(setup.p, setup.s, setup.in, setup.w, nullptr, nullptr, {}, &setup.out);
+  }
+  state.SetLabel(ConvNCHWcIsaName());
+  state.counters["GFLOPS"] =
+      benchmark::Counter(2.0 * p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
+                         benchmark::Counter::kIs1000);
+  SetIsaOverride(nullptr);
+}
+BENCHMARK(BM_Ablation_F32Isa)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 // Same ablation for s8 activations (no VNNI benefit expected — vpdpbusd wants u8·s8,
 // so the s8 path stays on the pairwise driver at every tier; this row pair documents
 // that u8 is where the VNNI win lives).
 void BM_Ablation_S8Isa(benchmark::State& state) {
   const char* tier = kIsaTiers[state.range(0)];
-  if (!SetConvNCHWcS8IsaOverride(tier)) {
+  if (!SetIsaOverride(tier)) {
     state.SkipWithError("isa tier not available on this host");
     return;
   }
@@ -352,7 +381,7 @@ void BM_Ablation_S8Isa(benchmark::State& state) {
   state.counters["GMACS"] =
       benchmark::Counter(p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
                          benchmark::Counter::kIs1000);
-  SetConvNCHWcS8IsaOverride(nullptr);
+  SetIsaOverride(nullptr);
 }
 BENCHMARK(BM_Ablation_S8Isa)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
@@ -371,6 +400,7 @@ void BM_ConvWinograd(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ConvWinograd(p, in, u, nullptr, {}));
   }
+  state.SetLabel(ConvWinogradIsaName());
   state.counters["GFLOPS(direct-equiv)"] =
       benchmark::Counter(2.0 * p.Macs(), benchmark::Counter::kIsIterationInvariantRate,
                          benchmark::Counter::kIs1000);
@@ -389,6 +419,7 @@ void BM_FusedEpilogue(benchmark::State& state) {
   for (auto _ : state) {
     ConvNCHWc(setup.p, setup.s, setup.in, setup.w, &bias, &residual, epi, &setup.out);
   }
+  state.SetLabel(ConvNCHWcIsaName());
 }
 BENCHMARK(BM_FusedEpilogue)->Unit(benchmark::kMillisecond);
 

@@ -5,7 +5,7 @@
 // Curves (per the paper): (a) ResNet-50 on the avx512 profile, threads 1..18;
 // (b) VGG-19 on avx2, threads 1..24; (c) Inception-v3 on neon, threads 1..16.
 //
-// Substitution note (DESIGN.md §1): this host may have fewer cores than the paper's
+// Substitution note: this host may have fewer cores than the paper's
 // machines, and fork/join overhead cannot be measured directly on an oversubscribed
 // core (the scheduler, not the pool, dominates). Instead the harness measures the
 // *mechanism* cost of each pool with single-core-safe experiments —

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/base/isa.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/gemm_packed.h"
 #include "src/kernels/gemm_packed_int8.h"
@@ -131,7 +132,7 @@ int main() {
           {static_cast<std::int64_t>(PackedAF32Elems(shape.m, shape.k, s))});
       Tensor c = Tensor::Empty({shape.m, shape.n});
       for (const char* tier : f32_tiers) {
-        if (!SetGemmPackedIsaOverride(tier)) {
+        if (!SetIsaOverride(tier)) {
           continue;  // host cannot execute this tier
         }
         record("tuned_f32", tier, TimeMs([&] {
@@ -139,7 +140,7 @@ int main() {
                                nullptr, false, c.data(), s, workspace.data(), &pool);
                }));
       }
-      SetGemmPackedIsaOverride(nullptr);
+      SetIsaOverride(nullptr);
     }
 
     // Tuned u8·s8, per ISA tier (f32 output epilogue, mult = 1).
@@ -164,7 +165,7 @@ int main() {
           Layout::Flat(), DType::kU8);
       Tensor c = Tensor::Empty({shape.m, shape.n});
       for (const char* tier : s8_tiers) {
-        if (!SetGemmPackedS8IsaOverride(tier)) {
+        if (!SetIsaOverride(tier)) {
           continue;
         }
         record("tuned_u8", tier, TimeMs([&] {
@@ -174,7 +175,7 @@ int main() {
                                 workspace.data_as<std::uint8_t>(), &pool);
                }));
       }
-      SetGemmPackedS8IsaOverride(nullptr);
+      SetIsaOverride(nullptr);
     }
   }
 

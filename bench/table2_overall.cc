@@ -2,7 +2,8 @@
 // and the two framework-baseline configurations, on the three architecture profiles
 // (2a: Skylake/AVX-512, 2b: EPYC/AVX2, 2c: Cortex-A72/NEON).
 //
-// Columns map to the paper as follows (see DESIGN.md §1 for the substitution argument):
+// Columns map to the paper as follows (each runs the same kernels, so the columns differ
+// only in the graph and runtime structure the paper compares):
 //   mxnet-like   = per-op blocked library kernels + OpenMP-style pool
 //                  (MXNet + MKL-DNN on x86; on the NEON profile the vendor library does
 //                   not exist, so the column runs im2col + GEMM like MXNet + OpenBLAS)

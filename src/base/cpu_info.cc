@@ -7,36 +7,33 @@
 #include <unistd.h>
 #endif
 
+#include "src/base/isa.h"
+
 namespace neocpu {
 namespace {
 
 CpuInfo Detect() {
   CpuInfo info;
-#if defined(__AVX512F__)
-  info.isa = SimdIsa::kAvx512;
-  info.vector_bits = 512;
-  info.num_vector_registers = 32;
-#elif defined(__AVX2__)
-  info.isa = SimdIsa::kAvx2;
-  info.vector_bits = 256;
-  info.num_vector_registers = 16;
-#elif defined(__ARM_NEON)
+#if defined(__ARM_NEON)
   info.isa = SimdIsa::kNeon;
   info.vector_bits = 128;
   info.num_vector_registers = 32;
-#else
-  info.isa = SimdIsa::kScalar;
-  info.vector_bits = 128;
-  info.num_vector_registers = 16;
-#endif
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+#if defined(__ARM_FEATURE_FMA)
   info.has_fma = true;
 #endif
-#if defined(__x86_64__) || defined(__i386__)
-  // Runtime (not compile-time) capability: the binary is built portable and picks the
-  // int8 kernel tier via cpuid, so the Target profile must reflect the machine it is
-  // running on, not the flags it was compiled with.
-  info.has_vnni = __builtin_cpu_supports("avx512vnni") != 0;
+#else
+  // The x86 build is portable; the ISA is what the kernels dispatch to on this machine.
+  const IsaTier tier = HostIsaTier();
+  if (tier >= IsaTier::kAvx512) {
+    info.isa = SimdIsa::kAvx512;
+    info.vector_bits = 512;
+    info.num_vector_registers = 32;
+  } else if (tier == IsaTier::kAvx2) {
+    info.isa = SimdIsa::kAvx2;
+    info.vector_bits = 256;
+  }
+  info.has_fma = tier >= IsaTier::kAvx2;
+  info.has_vnni = tier == IsaTier::kAvx512Vnni;
 #endif
 
   unsigned hw = std::thread::hardware_concurrency();

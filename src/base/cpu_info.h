@@ -1,5 +1,7 @@
 // Host CPU introspection: SIMD capability, physical core count, cache sizes.
 // These feed the default Target profile (src/core/target.h) and the analytic cost model.
+// On x86 the SIMD fields come from the runtime ISA probe (src/base/isa.h), so they
+// describe the kernels that actually run, not the flags the library was built with.
 #ifndef NEOCPU_SRC_BASE_CPU_INFO_H_
 #define NEOCPU_SRC_BASE_CPU_INFO_H_
 
@@ -9,7 +11,7 @@
 namespace neocpu {
 
 enum class SimdIsa {
-  kScalar,   // no vector extension detected
+  kScalar,   // no vector extension beyond the baseline (SSE2 on x86-64)
   kNeon,     // 128-bit (4 fp32 lanes)
   kAvx2,     // 256-bit (8 fp32 lanes)
   kAvx512,   // 512-bit (16 fp32 lanes)
@@ -24,7 +26,7 @@ struct CpuInfo {
   std::size_t l2_bytes = 1024 * 1024;
   std::size_t l3_bytes = 8 * 1024 * 1024;
   bool has_fma = false;
-  bool has_vnni = false;          // AVX-512 VNNI (vpdpbusd), detected at runtime
+  bool has_vnni = false;          // AVX-512 VNNI (vpdpbusd)
   // Invariant TSC: rdtsc ticks at a constant rate across frequency scaling and sleep
   // states, so it can back cycle-accurate node timing (constant_tsc + nonstop_tsc).
   bool has_invariant_tsc = false;

@@ -2,7 +2,8 @@
 //
 // The paper's baselines are closed or third-party stacks (MXNet+MKL-DNN, TensorFlow+
 // Eigen/ngraph, OpenVINO). This repository reproduces their *structure* on identical
-// kernels (see DESIGN.md §1):
+// kernels, so a gap between configurations comes from the graph and runtime choices
+// the paper studies, not from kernel quality:
 //
 //   NeoCpuOptions          — the full system: global search, transform elimination,
 //                            custom thread pool at run time.

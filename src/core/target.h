@@ -4,8 +4,9 @@
 // AVX2, 16-core ARM Cortex-A72 NEON). This repository runs on a single host, so a
 // Target captures the *schedule-space* properties of each architecture — fp32 vector
 // lanes, SIMD register count, core count, cache sizes — and the search is constrained
-// to schedules that ISA could execute. See DESIGN.md §1 for why this substitution
-// preserves the experiments' shape.
+// to schedules that ISA could execute. The kernels themselves always run at the host's
+// own ISA tier (src/base/isa.h), so a non-host profile reproduces that platform's
+// schedule choices and their relative costs, not its absolute speed.
 #ifndef NEOCPU_SRC_CORE_TARGET_H_
 #define NEOCPU_SRC_CORE_TARGET_H_
 
@@ -53,7 +54,8 @@ struct Target {
 
   static constexpr std::int64_t kMaxS8Block = 64;  // == kMaxChannelBlock
 
-  // The host this binary was compiled for.
+  // The machine this process runs on: vector width, registers and FMA come from the
+  // runtime ISA probe, i.e. the tier the kernels dispatch to.
   static Target Host();
   // The paper's three evaluation platforms (§4).
   static Target SkylakeAvx512();

@@ -7,8 +7,10 @@
 // reduction step and FMA-ed against reg_n broadcast input values (Figure 1).
 //
 // The template is "high level": schedules select among C++ template instantiations whose
-// inner loops GCC auto-vectorizes into broadcast-FMA sequences — no intrinsics, no
-// assembly — which is what makes the same code retargetable across ISAs (§3.1.1).
+// inner loops GCC auto-vectorizes into broadcast-FMA sequences (§3.1.1). The same source
+// (conv_nchwc_impl.h) is compiled once per ISA tier — baseline, AVX2+FMA, AVX-512 — and
+// the call runs the widest tier the CPU supports (src/base/isa.h), so an oc_bn = 16
+// block is one zmm FMA per step on AVX-512 hosts and four SSE multiply-adds on baseline.
 #ifndef NEOCPU_SRC_KERNELS_CONV_NCHWC_H_
 #define NEOCPU_SRC_KERNELS_CONV_NCHWC_H_
 
@@ -27,6 +29,9 @@ namespace neocpu {
 void ConvNCHWc(const Conv2dParams& params, const ConvSchedule& schedule, const Tensor& input,
                const Tensor& weight, const Tensor* bias, const Tensor* residual,
                const ConvEpilogue& epilogue, Tensor* output, ThreadEngine* engine = nullptr);
+
+// Name of the ISA tier ConvNCHWc runs at ("baseline", "avx2", "avx512").
+const char* ConvNCHWcIsaName();
 
 // Convenience wrapper used by tests/benches: takes NCHW input and OIHW weight, performs
 // the layout transforms internally, and returns an NCHW output (i.e. what a framework

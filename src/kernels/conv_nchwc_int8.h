@@ -7,11 +7,10 @@
 // s8 or a dequantize store to f32.
 //
 // Portability: the kernel source is plain loops + `omp simd` (no intrinsics, no VNNI
-// requirement). Because the library builds at the portable baseline ISA, the translation
-// unit is additionally compiled under -mavx2/-mavx512bw (when the toolchain supports
-// them) and the entry point picks the widest variant the *running* CPU exposes — the
-// oneDNN/IntelCaffe structure of ISA-dispatched int8 kernels, with identical integer
-// results from every variant. Schedule-space admission is gated by Target::int8_dot.
+// requirement), compiled once per ISA tier and dispatched to the widest tier the
+// *running* CPU exposes (src/base/isa.h) — the oneDNN/IntelCaffe structure of
+// ISA-dispatched int8 kernels, with identical integer results from every tier.
+// Schedule-space admission is gated by Target::int8_dot.
 #ifndef NEOCPU_SRC_KERNELS_CONV_NCHWC_INT8_H_
 #define NEOCPU_SRC_KERNELS_CONV_NCHWC_INT8_H_
 
@@ -44,15 +43,9 @@ void ConvNCHWcS8(const Conv2dParams& params, const ConvSchedule& schedule,
                  Tensor* output, ThreadEngine* engine = nullptr,
                  std::int32_t out_zero = 0, std::int32_t in_zero = 0);
 
-// Name of the ISA variant the dispatcher would run on this host ("baseline", "avx2",
-// "avx512", "avx512vnni") — surfaced by benches and tests.
+// Name of the ISA tier the row drivers run at ("baseline", "avx2", "avx512",
+// "avx512vnni"); pin it with SetIsaOverride (src/base/isa.h).
 const char* ConvNCHWcS8IsaName();
-
-// Pin the int8 row-driver dispatch to a named tier the running CPU supports (parity
-// tests and bench ablations). Returns false — and leaves the dispatch untouched — when
-// the tier was not compiled in or the CPU lacks it. nullptr/"" restores auto dispatch.
-// Not thread-safe against concurrent ConvNCHWcS8 calls.
-bool SetConvNCHWcS8IsaOverride(const char* name);
 
 }  // namespace neocpu
 

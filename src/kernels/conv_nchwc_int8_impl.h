@@ -1,7 +1,6 @@
-// Implementation body of the s8 NCHWc direct convolution, compiled once per ISA
-// variant: the including translation unit defines NEOCPU_S8_VARIANT_NS (a unique
-// namespace, so multiple instantiations coexist without ODR collisions) and
-// NEOCPU_S8_ROW_FN (the exported row-driver symbol), then includes this header.
+// Implementation body of the s8 NCHWc direct convolution, compiled once per ISA tier:
+// the including translation unit defines NEOCPU_ISA_NS (the tier namespace, see
+// src/base/isa.h), then includes this header; it exports detail::<tier>::ConvS8Row.
 //
 // IMPORTANT: everything in the variant body is raw-pointer arithmetic on the POD
 // argument block — no shared inline library functions — so a TU compiled with wider
@@ -67,7 +66,8 @@ using S8RowFn = void (*)(const S8ConvArgs&, std::int64_t row);
 
 namespace neocpu {
 namespace detail {
-namespace NEOCPU_S8_VARIANT_NS {
+namespace NEOCPU_ISA_NS {
+namespace conv_s8 {
 
 // Interior micro-kernel: REGN consecutive out-width positions of one (n, oc_block, oh)
 // row, no horizontal bounds checks.
@@ -471,12 +471,12 @@ inline MicroFn SelectMicro(std::int64_t ocb, std::int64_t reg_n, bool unroll) {
   return SelectMicroFor<false>(ocb, reg_n, unroll);
 }
 
-}  // namespace NEOCPU_S8_VARIANT_NS
+}  // namespace conv_s8
 
 // Row driver: one (n, oc_block, oh) output row — left edge, interior register blocks,
 // tail — exported per ISA variant and invoked by the dispatcher's ParallelFor.
-void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
-  namespace v = NEOCPU_S8_VARIANT_NS;
+void ConvS8Row(const S8ConvArgs& a, std::int64_t row) {
+  namespace v = conv_s8;
   const std::int64_t oh = row % a.oh;
   const std::int64_t rest = row / a.oh;
   const std::int64_t oco = rest % a.ocb_count;
@@ -525,5 +525,6 @@ void NEOCPU_S8_ROW_FN(const S8ConvArgs& a, std::int64_t row) {
   }
 }
 
+}  // namespace NEOCPU_ISA_NS
 }  // namespace detail
 }  // namespace neocpu

@@ -10,6 +10,8 @@
 //   V = B^T d B (input tile transform),
 //   Y = A^T [ sum_ic U .* V ] A (output transform),
 // with zero-padded gathers at image borders and guarded stores at odd output edges.
+// The tile kernels are compiled once per ISA tier and dispatched at run time
+// (src/base/isa.h).
 #ifndef NEOCPU_SRC_KERNELS_CONV_WINOGRAD_H_
 #define NEOCPU_SRC_KERNELS_CONV_WINOGRAD_H_
 
@@ -18,6 +20,9 @@
 #include "src/tensor/tensor.h"
 
 namespace neocpu {
+
+// Name of the ISA tier ConvWinograd runs at ("baseline", "avx2", "avx512").
+const char* ConvWinogradIsaName();
 
 // True when the workload is in Winograd's domain (3x3, stride 1).
 bool WinogradApplicable(const Conv2dParams& params);

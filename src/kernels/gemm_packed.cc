@@ -1,97 +1,30 @@
 // Baseline instantiation + operand packing + validation + runtime ISA dispatch of the
-// packed fp32 GEMM. The baseline tile driver compiles at the library's portable ISA;
-// wider variants live in gemm_packed_avx{2,512}.cc behind per-file flags, and this TU
-// (always portable code itself) picks the widest one the running CPU supports.
-#define NEOCPU_GEMM_VARIANT_NS gemm_f32_baseline
-#define NEOCPU_GEMM_TILE_FN GemmF32TileBaseline
+// packed fp32 GEMM. The tile drivers are gemm_packed_impl.h, compiled once per tier
+// (neocpu_isa_variants in CMakeLists.txt); this portable TU runs the widest tier the
+// CPU has.
+#define NEOCPU_ISA_NS baseline
 #include "src/kernels/gemm_packed_impl.h"
 
-#include <cstring>
-#include <string_view>
 #include <vector>
 
+#include "src/base/isa.h"
 #include "src/base/logging.h"
 #include "src/kernels/gemm_packed.h"
 
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_GEMM_HAVE_AVX2
-void GemmF32TileAvx2(const GemmF32Args&, std::int64_t);
-#endif
-#ifdef NEOCPU_GEMM_HAVE_AVX512
-void GemmF32TileAvx512(const GemmF32Args&, std::int64_t);
-#endif
+NEOCPU_DECLARE_ISA_VARIANTS(void GemmF32Tile(const GemmF32Args&, std::int64_t))
+constexpr IsaVariants<GemmF32TileFn> kGemmF32Tiles = NEOCPU_ISA_VARIANTS(GemmF32Tile);
 
 namespace {
-
-struct GemmDispatch {
-  GemmF32TileFn fn = &GemmF32TileBaseline;
-  const char* name = "baseline";
-};
-
-// Every tier the running CPU can execute, widest first; same structure as the s8 conv
-// dispatcher (auto pick is the front, the override hook selects by name).
-struct GemmTiers {
-  GemmDispatch tiers[3];
-  int count = 0;
-};
-
-GemmTiers EnumerateTiers() {
-  GemmTiers t;
-#if defined(__x86_64__) && defined(__GNUC__)
-  __builtin_cpu_init();
-#ifdef NEOCPU_GEMM_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&GemmF32TileAvx512, "avx512"};
-  }
-#endif
-#ifdef NEOCPU_GEMM_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    t.tiers[t.count++] = {&GemmF32TileAvx2, "avx2"};
-  }
-#endif
-#endif
-  t.tiers[t.count++] = {&GemmF32TileBaseline, "baseline"};
-  return t;
-}
-
-const GemmTiers& Tiers() {
-  static const GemmTiers t = EnumerateTiers();
-  return t;
-}
-
-// -1: auto (widest tier). Otherwise an index into Tiers() pinned by the override hook.
-int g_isa_override = -1;
-
-const GemmDispatch& Dispatch() {
-  const GemmTiers& t = Tiers();
-  const int at = g_isa_override >= 0 ? g_isa_override : 0;
-  return t.tiers[at];
-}
 
 std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
 }  // namespace
 }  // namespace detail
 
-const char* GemmPackedIsaName() { return detail::Dispatch().name; }
-
-bool SetGemmPackedIsaOverride(const char* name) {
-  if (name == nullptr || name[0] == '\0') {
-    detail::g_isa_override = -1;
-    return true;
-  }
-  const detail::GemmTiers& t = detail::Tiers();
-  for (int i = 0; i < t.count; ++i) {
-    if (std::string_view(t.tiers[i].name) == name) {
-      detail::g_isa_override = i;
-      return true;
-    }
-  }
-  return false;
-}
+const char* GemmPackedIsaName() { return IsaTierName(detail::kGemmF32Tiles.Tier()); }
 
 std::size_t PackedAF32Elems(std::int64_t m, std::int64_t k, const GemmSchedule& s) {
   return static_cast<std::size_t>(detail::CeilDiv(m, s.mr) * s.mr * k);
@@ -198,7 +131,7 @@ void GemmPackedF32(std::int64_t m, std::int64_t n, std::int64_t k, const float* 
   args.relu = relu;
   args.c = c;
 
-  const detail::GemmF32TileFn tile_fn = detail::Dispatch().fn;
+  const detail::GemmF32TileFn tile_fn = detail::kGemmF32Tiles.Get();
   const std::int64_t tiles = detail::CeilDiv(m, args.mc) * args.nb_count;
   ParallelFor(eng, tiles, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t tile = begin; tile < end; ++tile) {

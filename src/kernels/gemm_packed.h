@@ -3,8 +3,8 @@
 // bias/ReLU epilogue; B is pre-packed into nr-column panels (at compile time for dense
 // weights, at run time for the im2col column buffer), A is packed into mr-row panels
 // in a caller-provided workspace (arena slice on the memory-planned path). The macro
-// tile drivers are compiled per ISA (baseline/avx2/avx512) behind the same cpuid
-// dispatcher structure as conv_nchwc_int8.
+// tile drivers are compiled per ISA tier (baseline/avx2/avx512) and dispatched at run
+// time (src/base/isa.h).
 #ifndef NEOCPU_SRC_KERNELS_GEMM_PACKED_H_
 #define NEOCPU_SRC_KERNELS_GEMM_PACKED_H_
 
@@ -31,11 +31,9 @@ void PackBF32(const float* b, std::int64_t n, std::int64_t k, const GemmSchedule
 void PackBF32FromTransposed(const float* w, std::int64_t n, std::int64_t k,
                             const GemmSchedule& s, float* out);
 
-// Active ISA tier name ("baseline", "avx2", "avx512") and the override hook used by
-// the parity tests and bench ablations. Empty/null name resets to auto (widest tier);
-// returns false for a name the running CPU/build cannot execute.
+// Name of the ISA tier the tile drivers run at ("baseline", "avx2", "avx512"); pin it
+// with SetIsaOverride (src/base/isa.h).
 const char* GemmPackedIsaName();
-bool SetGemmPackedIsaOverride(const char* name);
 
 // C[m][n] = A[m][k] * packed_b (+ bias, ReLU). `workspace` holds the packed A panels
 // (PackedAF32Elems floats); pass null to let the kernel allocate one internally

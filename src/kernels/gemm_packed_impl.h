@@ -1,8 +1,6 @@
 // Implementation body of the packed fp32 GEMM macro-tile driver, compiled once per ISA
-// variant: the including translation unit defines NEOCPU_GEMM_VARIANT_NS (a unique
-// namespace, so multiple instantiations coexist without ODR collisions) and
-// NEOCPU_GEMM_TILE_FN (the exported macro-tile driver symbol), then includes this
-// header.
+// tier: the including translation unit defines NEOCPU_ISA_NS (the tier namespace, see
+// src/base/isa.h), then includes this header; it exports detail::<tier>::GemmF32Tile.
 //
 // IMPORTANT: everything in the variant body is raw-pointer arithmetic on the POD
 // argument block — no shared inline library functions — so a TU compiled with wider
@@ -43,7 +41,8 @@ using GemmF32TileFn = void (*)(const GemmF32Args&, std::int64_t tile);
 
 namespace neocpu {
 namespace detail {
-namespace NEOCPU_GEMM_VARIANT_NS {
+namespace NEOCPU_ISA_NS {
+namespace gemm_f32 {
 
 // Register micro-kernel: an mr x nr accumulator tile over a kcb-deep slice of one
 // packed A row panel ([kcb][MR], broadcast operand) and one packed B column panel
@@ -197,13 +196,13 @@ inline MicroF32Fn SelectMicro(std::int64_t mr, std::int64_t nr) {
   }
 }
 
-}  // namespace NEOCPU_GEMM_VARIANT_NS
+}  // namespace gemm_f32
 
 // Macro-tile driver: one (mc x nc) block of C — kc passes over the packed panels, B
 // micro-panel held innermost-reused (L1), A row panels streamed — exported per ISA
 // variant and invoked by the dispatcher's ParallelFor over the macro-tile grid.
-void NEOCPU_GEMM_TILE_FN(const GemmF32Args& a, std::int64_t tile) {
-  namespace v = NEOCPU_GEMM_VARIANT_NS;
+void GemmF32Tile(const GemmF32Args& a, std::int64_t tile) {
+  namespace v = gemm_f32;
   const std::int64_t jb = tile % a.nb_count;
   const std::int64_t ib = tile / a.nb_count;
   const std::int64_t i0 = ib * a.mc;
@@ -234,5 +233,6 @@ void NEOCPU_GEMM_TILE_FN(const GemmF32Args& a, std::int64_t tile) {
   }
 }
 
+}  // namespace NEOCPU_ISA_NS
 }  // namespace detail
 }  // namespace neocpu

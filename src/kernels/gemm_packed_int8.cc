@@ -1,104 +1,31 @@
 // Baseline instantiation + operand packing + validation + runtime ISA dispatch of the
-// packed u8·s8 GEMM. The baseline tile driver compiles at the library's portable ISA;
-// wider variants live in gemm_packed_int8_avx{2,512,512vnni}.cc behind per-file flags,
-// and this TU (always portable code itself) picks the widest one the running CPU
-// supports. All tiers are bitwise-identical (see gemm_packed_int8_impl.h).
-#define NEOCPU_GEMM_S8_VARIANT_NS gemm_s8_baseline
-#define NEOCPU_GEMM_S8_TILE_FN GemmS8TileBaseline
+// packed u8·s8 GEMM. The tile drivers are gemm_packed_int8_impl.h, compiled once per
+// tier (neocpu_isa_variants in CMakeLists.txt); this portable TU runs the widest tier
+// the CPU has. All tiers are bitwise-identical (see gemm_packed_int8_impl.h).
+#define NEOCPU_ISA_NS baseline
 #include "src/kernels/gemm_packed_int8_impl.h"
 
 #include <cstring>
-#include <string_view>
 #include <vector>
 
+#include "src/base/isa.h"
 #include "src/base/logging.h"
 #include "src/kernels/gemm_packed_int8.h"
 
 namespace neocpu {
 namespace detail {
 
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX2
-void GemmS8TileAvx2(const GemmS8Args&, std::int64_t);
-#endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512
-void GemmS8TileAvx512(const GemmS8Args&, std::int64_t);
-#endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512VNNI
-void GemmS8TileAvx512Vnni(const GemmS8Args&, std::int64_t);
-#endif
+NEOCPU_DECLARE_ISA_VARIANTS(void GemmS8Tile(const GemmS8Args&, std::int64_t))
+constexpr IsaVariants<GemmS8TileFn> kGemmS8Tiles = NEOCPU_ISA_VARIANTS(GemmS8Tile);
 
 namespace {
-
-struct GemmS8Dispatch {
-  GemmS8TileFn fn = &GemmS8TileBaseline;
-  const char* name = "baseline";
-};
-
-struct GemmS8Tiers {
-  GemmS8Dispatch tiers[4];
-  int count = 0;
-};
-
-GemmS8Tiers EnumerateTiers() {
-  GemmS8Tiers t;
-#if defined(__x86_64__) && defined(__GNUC__)
-  __builtin_cpu_init();
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512VNNI
-  if (__builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&GemmS8TileAvx512Vnni, "avx512vnni"};
-  }
-#endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512dq")) {
-    t.tiers[t.count++] = {&GemmS8TileAvx512, "avx512"};
-  }
-#endif
-#ifdef NEOCPU_GEMM_S8_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    t.tiers[t.count++] = {&GemmS8TileAvx2, "avx2"};
-  }
-#endif
-#endif
-  t.tiers[t.count++] = {&GemmS8TileBaseline, "baseline"};
-  return t;
-}
-
-const GemmS8Tiers& Tiers() {
-  static const GemmS8Tiers t = EnumerateTiers();
-  return t;
-}
-
-int g_isa_override = -1;
-
-const GemmS8Dispatch& Dispatch() {
-  const GemmS8Tiers& t = Tiers();
-  const int at = g_isa_override >= 0 ? g_isa_override : 0;
-  return t.tiers[at];
-}
 
 std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
 }  // namespace
 }  // namespace detail
 
-const char* GemmPackedS8IsaName() { return detail::Dispatch().name; }
-
-bool SetGemmPackedS8IsaOverride(const char* name) {
-  if (name == nullptr || name[0] == '\0') {
-    detail::g_isa_override = -1;
-    return true;
-  }
-  const detail::GemmS8Tiers& t = detail::Tiers();
-  for (int i = 0; i < t.count; ++i) {
-    if (std::string_view(t.tiers[i].name) == name) {
-      detail::g_isa_override = i;
-      return true;
-    }
-  }
-  return false;
-}
+const char* GemmPackedS8IsaName() { return IsaTierName(detail::kGemmS8Tiles.Tier()); }
 
 std::size_t PackedAU8Bytes(std::int64_t m, std::int64_t k, const GemmSchedule& s) {
   return static_cast<std::size_t>(detail::CeilDiv(m, s.mr) * s.mr * detail::CeilDiv(k, 4) * 4);
@@ -200,7 +127,7 @@ void GemmPackedU8S8(std::int64_t m, std::int64_t n, std::int64_t k,
   args.out_zero = requant && out_u8 ? out_zero : 0;
   args.c = c;
 
-  const detail::GemmS8TileFn tile_fn = detail::Dispatch().fn;
+  const detail::GemmS8TileFn tile_fn = detail::kGemmS8Tiles.Get();
   const std::int64_t tiles = detail::CeilDiv(m, args.mc) * args.nb_count;
   ParallelFor(eng, tiles, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t tile = begin; tile < end; ++tile) {

@@ -29,10 +29,9 @@ void PackAU8(const std::uint8_t* a, std::int64_t m, std::int64_t k,
 void PackBS8FromTransposed(const std::int8_t* w, std::int64_t n, std::int64_t k,
                            const GemmSchedule& s, std::int8_t* out);
 
-// Active ISA tier name ("baseline", "avx2", "avx512", "avx512vnni") and the override
-// hook (parity tests, bench ablations). Empty/null resets to auto.
+// Name of the ISA tier the tile drivers run at ("baseline", "avx2", "avx512",
+// "avx512vnni"); pin it with SetIsaOverride (src/base/isa.h).
 const char* GemmPackedS8IsaName();
-bool SetGemmPackedS8IsaOverride(const char* name);
 
 // C[m][n] from u8 A[m][k] (raw rows, packed internally into `workspace`) and packed s8
 // B. bias is the zero-point-folded s32 bias (null for none); mult the per-column

@@ -1,7 +1,7 @@
 // Implementation body of the packed u8·s8→s32 GEMM macro-tile driver, compiled once
-// per ISA variant: the including translation unit defines NEOCPU_GEMM_S8_VARIANT_NS
-// (a unique namespace) and NEOCPU_GEMM_S8_TILE_FN (the exported macro-tile driver
-// symbol), then includes this header. Same ODR rules as gemm_packed_impl.h: raw-pointer
+// per ISA tier: the including translation unit defines NEOCPU_ISA_NS (the tier
+// namespace, see src/base/isa.h), then includes this header; it exports
+// detail::<tier>::GemmS8Tile. Same ODR rules as gemm_packed_impl.h: raw-pointer
 // arithmetic on the POD argument block only.
 //
 // Both operands are quad-packed so 4 consecutive K values are byte-adjacent:
@@ -55,7 +55,8 @@ using GemmS8TileFn = void (*)(const GemmS8Args&, std::int64_t tile);
 
 namespace neocpu {
 namespace detail {
-namespace NEOCPU_GEMM_S8_VARIANT_NS {
+namespace NEOCPU_ISA_NS {
+namespace gemm_s8 {
 
 // Register micro-kernel: an mr x nr s32 accumulator tile over the full quad-packed K
 // of one A row panel and one B column panel. Results land in out_acc[r * NR + j]; the
@@ -226,13 +227,13 @@ inline MicroU8Fn SelectMicro(std::int64_t mr, std::int64_t nr) {
   }
 }
 
-}  // namespace NEOCPU_GEMM_S8_VARIANT_NS
+}  // namespace gemm_s8
 
 // Macro-tile driver: one (mc x nc) block of C in a single K pass — B micro-panel
 // reused innermost, A row panels streamed, fused epilogue on every store — exported
 // per ISA variant and invoked by the dispatcher's ParallelFor over the macro-tile grid.
-void NEOCPU_GEMM_S8_TILE_FN(const GemmS8Args& a, std::int64_t tile) {
-  namespace v = NEOCPU_GEMM_S8_VARIANT_NS;
+void GemmS8Tile(const GemmS8Args& a, std::int64_t tile) {
+  namespace v = gemm_s8;
   const std::int64_t jb = tile % a.nb_count;
   const std::int64_t ib = tile / a.nb_count;
   const std::int64_t i0 = ib * a.mc;
@@ -258,5 +259,6 @@ void NEOCPU_GEMM_S8_TILE_FN(const GemmS8Args& a, std::int64_t tile) {
   }
 }
 
+}  // namespace NEOCPU_ISA_NS
 }  // namespace detail
 }  // namespace neocpu

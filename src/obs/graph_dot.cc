@@ -25,10 +25,12 @@ std::string DotEscape(const std::string& s) {
 }
 
 std::string DimsToString(const std::vector<std::int64_t>& dims) {
-  return "{" +
-         JoinMapped(dims, ",",
-                    [](std::int64_t d) { return StrFormat("%lld", static_cast<long long>(d)); }) +
-         "}";
+  // Appended in place: GCC 12 flags `"{" + str + "}"` here with a false -Wrestrict.
+  std::string out = "{";
+  out += JoinMapped(dims, ",",
+                    [](std::int64_t d) { return StrFormat("%lld", static_cast<long long>(d)); });
+  out += '}';
+  return out;
 }
 
 // White → saturated red ramp for the profile heat overlay.

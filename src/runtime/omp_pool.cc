@@ -8,7 +8,7 @@ OmpStylePool::OmpStylePool(int num_workers) {
   num_workers_ = num_workers > 0 ? num_workers : HostCpuInfo().physical_cores;
   threads_.reserve(static_cast<std::size_t>(num_workers_ - 1));
   for (int i = 1; i < num_workers_; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -25,7 +25,7 @@ OmpStylePool::~OmpStylePool() {
   }
 }
 
-void OmpStylePool::WorkerLoop(int worker_index) {
+void OmpStylePool::WorkerLoop() {
   std::uint64_t seen_epoch = 0;
   while (true) {
     const std::function<void(int, int)>* fn = nullptr;

@@ -31,7 +31,7 @@ class OmpStylePool final : public ThreadEngine {
   const char* Name() const override { return "omp-style"; }
 
  private:
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();  // workers claim tasks from the shared region, not by index
 
   int num_workers_ = 1;
   std::vector<std::thread> threads_;

@@ -5,6 +5,7 @@
 
 #include "src/base/align.h"
 #include "src/base/cpu_info.h"
+#include "src/base/isa.h"
 #include "src/base/rng.h"
 #include "src/base/string_util.h"
 #include "src/base/timer.h"
@@ -48,7 +49,7 @@ TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0.0;
   for (int i = 0; i < 100000; ++i) {
-    sink += i;
+    sink = sink + i;  // C++20 deprecates compound assignment to volatile
   }
   EXPECT_GE(t.Seconds(), 0.0);
   EXPECT_GE(t.Millis(), t.Seconds());  // ms value >= s value numerically
@@ -103,6 +104,28 @@ TEST(CpuInfo, DetectsSomethingSane) {
   EXPECT_EQ(info.vector_bits % 32, 0);
   EXPECT_GT(info.l1d_bytes, 0u);
   EXPECT_STRNE(SimdIsaName(info.isa), "unknown");
+#if defined(__x86_64__)
+  // The reported ISA is the widest tier the runtime probe found, not the build flags.
+  switch (HostIsaTier()) {
+    case IsaTier::kBaseline:
+      EXPECT_EQ(info.isa, SimdIsa::kScalar);
+      EXPECT_FALSE(info.has_fma);
+      break;
+    case IsaTier::kAvx2:
+      EXPECT_EQ(info.isa, SimdIsa::kAvx2);
+      EXPECT_EQ(info.vector_bits, 256);
+      EXPECT_TRUE(info.has_fma);
+      break;
+    case IsaTier::kAvx512:
+    case IsaTier::kAvx512Vnni:
+      EXPECT_EQ(info.isa, SimdIsa::kAvx512);
+      EXPECT_EQ(info.vector_bits, 512);
+      EXPECT_EQ(info.num_vector_registers, 32);
+      EXPECT_TRUE(info.has_fma);
+      break;
+  }
+  EXPECT_EQ(info.has_vnni, HostIsaTier() == IsaTier::kAvx512Vnni);
+#endif
 }
 
 TEST(EnvSizeT, ParsesAndFallsBack) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <tuple>
 
+#include "src/base/isa.h"
 #include "src/base/rng.h"
 #include "src/core/compiler.h"
 #include "src/core/presets.h"
@@ -181,6 +182,19 @@ TEST_P(ZooEquivalence, OptimizedMatchesReference) {
     EXPECT_LE(Tensor::AllCloseViolation(got, expected, kRtol, kAtol), 0.0)
         << GetParam().label;
   }
+}
+
+// The portable build's floor: resnet18 planned for this host but run with every kernel
+// family pinned to the baseline tier still matches the reference.
+TEST(ZooEquivalenceBaselineTier, ResNet18MatchesReference) {
+  ASSERT_TRUE(SetIsaOverride("baseline"));
+  Graph model = TinyResNet18();
+  Tensor input = InputFor(model, 13);
+  Tensor expected = ReferenceRun(model, input);
+  CompiledModel compiled = Compile(model, NeoCpuOptions(Target::Host()));
+  Tensor got = compiled.Run(input);
+  SetIsaOverride(nullptr);
+  EXPECT_LE(Tensor::AllCloseViolation(got, expected, kRtol, kAtol), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ZooEquivalence,

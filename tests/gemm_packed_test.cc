@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/isa.h"
 #include "src/base/rng.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/gemm_packed.h"
@@ -214,8 +215,8 @@ TEST(GemmPackedU8S8, ExactAgainstReferenceAndBitwiseAcrossIsaTiers) {
 
     std::vector<std::uint8_t> first;
     for (const auto& tier : tiers) {
-      if (!SetGemmPackedS8IsaOverride(tier.c_str())) {
-        continue;  // tier not runnable on this CPU/build
+      if (!SetIsaOverride(tier.c_str())) {
+        continue;  // the CPU lacks the tier
       }
       std::vector<std::uint8_t> got(out_bytes, 0xAB);
       GemmPackedU8S8(c.m, c.n, c.k, a.data(), bp.data(),
@@ -228,19 +229,8 @@ TEST(GemmPackedU8S8, ExactAgainstReferenceAndBitwiseAcrossIsaTiers) {
         EXPECT_EQ(got, first) << "tier " << tier << " diverges bitwise";
       }
     }
-    SetGemmPackedS8IsaOverride(nullptr);
+    SetIsaOverride(nullptr);
   }
-}
-
-TEST(GemmPackedIsa, OverrideHooksRejectUnknownNames) {
-  EXPECT_FALSE(SetGemmPackedIsaOverride("not-an-isa"));
-  EXPECT_FALSE(SetGemmPackedS8IsaOverride("not-an-isa"));
-  EXPECT_TRUE(SetGemmPackedIsaOverride("baseline"));
-  EXPECT_STREQ(GemmPackedIsaName(), "baseline");
-  EXPECT_TRUE(SetGemmPackedIsaOverride(""));
-  EXPECT_TRUE(SetGemmPackedS8IsaOverride("baseline"));
-  EXPECT_STREQ(GemmPackedS8IsaName(), "baseline");
-  EXPECT_TRUE(SetGemmPackedS8IsaOverride(nullptr));
 }
 
 TEST(GemmPackedF32, MultiThreadedMatchesSerial) {

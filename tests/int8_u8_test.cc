@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/isa.h"
 #include "src/base/rng.h"
 #include "src/core/compiler.h"
 #include "src/core/memory_plan.h"
@@ -199,8 +200,8 @@ TEST(ConvNCHWcU8, CrossIsaBitwiseParity) {
   const Tensor reference = run();  // auto dispatch
   int tiers_run = 0;
   for (const char* tier : {"baseline", "avx2", "avx512", "avx512vnni"}) {
-    if (!SetConvNCHWcS8IsaOverride(tier)) {
-      continue;  // tier not compiled in or CPU lacks it
+    if (!SetIsaOverride(tier)) {
+      continue;  // the CPU lacks the tier
     }
     EXPECT_STREQ(ConvNCHWcS8IsaName(), tier);
     const Tensor out = run();
@@ -211,7 +212,7 @@ TEST(ConvNCHWcU8, CrossIsaBitwiseParity) {
         << "tier " << tier << " diverged from auto dispatch";
     ++tiers_run;
   }
-  SetConvNCHWcS8IsaOverride(nullptr);
+  SetIsaOverride(nullptr);
   EXPECT_GE(tiers_run, 1) << "at least the baseline tier must always be available";
 }
 
@@ -236,7 +237,7 @@ TEST(ConvNCHWcS8, CrossIsaBitwiseParity) {
   };
   const Tensor reference = run();
   for (const char* tier : {"baseline", "avx2", "avx512", "avx512vnni"}) {
-    if (!SetConvNCHWcS8IsaOverride(tier)) {
+    if (!SetIsaOverride(tier)) {
       continue;
     }
     const Tensor out = run();
@@ -245,7 +246,7 @@ TEST(ConvNCHWcS8, CrossIsaBitwiseParity) {
               0)
         << "tier " << tier;
   }
-  SetConvNCHWcS8IsaOverride(nullptr);
+  SetIsaOverride(nullptr);
 }
 
 // PackWeightsVnni is a pure intra-tile permutation: element (o, i, kh, kw, ici, ocj)

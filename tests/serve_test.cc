@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/timer.h"
@@ -565,32 +568,63 @@ TEST(NodeProfiler, SampledProfilingOverheadIsBounded) {
   CompiledModel model = Compile(BuildTinyCnn());
   Tensor input = SampleInput(9);
   model.Run(input);  // warm-up: faults weights and the arena
-
-  // Best-of-N timing of a fixed run block — the minimum is robust against scheduler
-  // noise on shared CI hosts, which a mean/medium comparison at 5% is not.
-  auto best_block_ms = [&](int reps) {
-    double best = 1e100;
-    for (int r = 0; r < reps; ++r) {
-      Timer timer;
-      for (int i = 0; i < 8; ++i) {
-        model.Run(input);
-      }
-      best = std::min(best, timer.Millis());
-    }
-    return best;
-  };
-
-  const double off_ms = best_block_ms(12);
   EXPECT_TRUE(model.ProfileSnapshot().empty());  // detached profiler records nothing
-
   model.EnableProfiling(/*sample_rate=*/64);
-  const double on_ms = best_block_ms(12);
-  EXPECT_FALSE(model.ProfileSnapshot().empty());  // the sampled run was captured
+  model.Run(input);
+  // An attached one samples its first run, which also pays the cycle clock's one-time
+  // calibration before the timing below.
+  EXPECT_FALSE(model.ProfileSnapshot().empty());
   model.DisableProfiling();
 
-  EXPECT_LT(on_ms, off_ms * 1.05)
-      << "sampled profiling overhead above 5%: off=" << off_ms << "ms on=" << on_ms
-      << "ms";
+  // Blocks are timed in this thread's CPU time: the runs are serial on this thread, so
+  // preemption by other tests under ctest -j (time slices of several ms against a
+  // ~0.1 ms run) does not count, while the profiler's own work does. Blocks of >= 20 ms
+  // keep clock granularity far below the 5% bound.
+  auto thread_cpu_ms = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
+  };
+  const double calibrate_start = thread_cpu_ms();
+  int calibrate_runs = 0;
+  while (thread_cpu_ms() - calibrate_start < 20.0) {
+    model.Run(input);
+    ++calibrate_runs;
+  }
+  const int block_runs = std::max(8, calibrate_runs);
+
+  // Off and on blocks run back to back in pairs, alternating which side goes first, and
+  // each pair yields one on/off ratio; the median ratio is what must stay under 5%.
+  // Shared hosts change speed in phases (the same block reads 17 ms, then 27 ms), so a
+  // best block per side can come from a fast phase only one side saw; both blocks of a
+  // pair share their phase. One profiler is toggled on one executor, as serving
+  // attaches it, so its run counter spans every on-block and sampled runs stay at the
+  // production rate of 1 in 64.
+  NodeProfiler profiler(/*sample_rate=*/64);
+  profiler.RegisterGraph(model.graph());
+  Executor exec(&model.graph(), nullptr, model.plan());
+  std::vector<double> ratios;
+  // 41 pairs put the median's own spread near 1% on a noisy host (15 left it near 4%).
+  for (int rep = 0; rep < 41; ++rep) {
+    double block_ms[2] = {0.0, 0.0};  // {off, on}
+    for (int side = 0; side < 2; ++side) {
+      const bool profiled = (rep + side) % 2 == 1;
+      exec.SetProfiler(profiled ? &profiler : nullptr);
+      const double start = thread_cpu_ms();
+      for (int i = 0; i < block_runs; ++i) {
+        exec.Run(input);
+      }
+      block_ms[profiled ? 1 : 0] = thread_cpu_ms() - start;
+    }
+    ratios.push_back(block_ms[1] / block_ms[0]);
+  }
+  EXPECT_FALSE(profiler.Snapshot().empty());  // the sampled runs were captured
+
+  std::sort(ratios.begin(), ratios.end());
+  const double median_ratio = ratios[ratios.size() / 2];
+  EXPECT_LT(median_ratio, 1.05) << "sampled profiling overhead above 5%: median on/off "
+                                << median_ratio << " over " << ratios.size()
+                                << " pairs of " << block_runs << "-run blocks";
 }
 
 TEST(InferenceServer, ShutdownDrainsPendingRequests) {

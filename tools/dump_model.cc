@@ -25,10 +25,15 @@
 #include <string>
 
 #include "src/base/cycle_clock.h"
+#include "src/base/isa.h"
 #include "src/base/rng.h"
 #include "src/core/compiler.h"
-#include "src/kernels/conv_nchwc_int8.h"
 #include "src/core/serialization.h"
+#include "src/kernels/conv_nchwc.h"
+#include "src/kernels/conv_nchwc_int8.h"
+#include "src/kernels/conv_winograd.h"
+#include "src/kernels/gemm_packed.h"
+#include "src/kernels/gemm_packed_int8.h"
 #include "src/models/model_zoo.h"
 #include "src/obs/graph_dot.h"
 #include "src/obs/metrics.h"
@@ -83,8 +88,12 @@ void PrintSummary(const CompiledModel& model) {
     std::printf("  calibration policy: %s\n",
                 CalibrationPolicyName(model.config().calibration_policy));
   }
-  std::printf("  int8 kernel tier: %s; cycle clock: %s\n", ConvNCHWcS8IsaName(),
-              CycleClock::Supported() ? "tsc" : "steady_clock");
+  std::printf(
+      "  kernel tiers: host %s; conv f32 %s, winograd %s, conv s8 %s, gemm f32 %s, "
+      "gemm u8s8 %s\n",
+      IsaTierName(HostIsaTier()), ConvNCHWcIsaName(), ConvWinogradIsaName(),
+      ConvNCHWcS8IsaName(), GemmPackedIsaName(), GemmPackedS8IsaName());
+  std::printf("  cycle clock: %s\n", CycleClock::Supported() ? "tsc" : "steady_clock");
   std::printf("  tuned batch: %lld%s\n", static_cast<long long>(stats.tuned_batch),
               stats.retuned ? " (retuned)" : "");
   if (model.plan() != nullptr && model.plan()->UsesArena()) {
